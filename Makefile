@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke bench figures results examples clean
+.PHONY: all build vet test race obs-overhead faults-smoke tiers-smoke smoke bench figures results examples clean
 
-all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke
+all: build vet test race obs-overhead faults-smoke tiers-smoke smoke
 
 build:
 	$(GO) build ./...
@@ -41,13 +41,6 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 
-# SLO smoke: boot continuumd's gateway at dilation 0 and walk the alert
-# lifecycle — healthy traffic stays silent, a 100% trap-rate fault burst
-# fires the availability page (visible over /v1/slo), recovery clears it,
-# and the drain re-verifies the admission identity.
-slo-smoke:
-	$(GO) run ./cmd/continuumd -slo-smoke
-
 # Chaos smoke: run the full fault-injection ablation grid once. Each cell
 # verifies the admission identity (Submitted == Completed+Rejected+Expired+
 # Failed) and that no request stalls, so a dispatcher liveness regression
@@ -62,28 +55,16 @@ faults-smoke:
 tiers-smoke:
 	$(GO) run ./cmd/continuum -exp tiers > /dev/null
 
-# Gateway smoke: boot continuumd on a random loopback port, invoke a
-# function over HTTP, scrape /metrics for a populated latency histogram,
-# SIGTERM, and assert the drain completed with the admission identity
-# intact. Exercises the real-time DES bridge end to end outside the test
-# binary.
-gateway-smoke:
+# Daemon smoke: boot continuumd on a random loopback port (three nodes,
+# dilation 0) and walk one script over HTTP: three modules answer, two of
+# them created lazily, with per-module router metrics and a populated
+# latency histogram on /metrics; healthy traffic raises no alert, a 100%
+# trap burst fires the SLO page (visible on /v1/slo) and recovery clears
+# it; killing the serving node re-places its module and invokes keep
+# answering 200. SIGTERM then must drain with every module's admission
+# identity intact.
+smoke:
 	$(GO) run ./cmd/continuumd -smoke
-
-# Shard smoke: boot continuumd with lazy function creation, invoke three
-# distinct modules over HTTP (two created on first request), assert the
-# per-module labeled router metrics appeared on /metrics, SIGTERM, and
-# assert the drain completed with every shard's admission identity intact.
-shard-smoke:
-	$(GO) run ./cmd/continuumd -shard-smoke
-
-# Cluster smoke: boot continuumd with three simulated nodes at dilation 0,
-# invoke over HTTP, kill the node the function is placed on via
-# POST /v1/cluster/nodes/{node}/fail mid-traffic, and assert the charge
-# re-homed to a survivor, invokes keep returning 200, /v1/cluster reports
-# the node dead, and the drain completes with the admission identity intact.
-cluster-smoke:
-	$(GO) run ./cmd/continuumd -cluster-smoke -dilation 0
 
 # Run every benchmark once (tables, figures, ablations, microbenches,
 # interpreter hot-loop and engine instantiate benches).

@@ -84,10 +84,8 @@ func busiestNode(s *cluster.Serving) int {
 // cold ramp and the policy decides how many replicas exist to ramp.
 func MeasureClusterServing(nodes int, policy cluster.Policy, faulted bool) (ClusterMeasurement, error) {
 	s, err := cluster.New(cluster.Config{
-		Nodes:      nodes,
-		Profile:    engine.WAMR,
-		Policy:     policy,
-		Dispatcher: clusterDCfg(),
+		Nodes:  nodes,
+		Policy: policy,
 		Autoscale: cluster.AutoscaleConfig{
 			Interval:    5 * time.Millisecond,
 			QueueHigh:   4,
@@ -105,7 +103,8 @@ func MeasureClusterServing(nodes int, policy cluster.Policy, faulted bool) (Clus
 		if err != nil {
 			return ClusterMeasurement{}, err
 		}
-		if err := s.Deploy(name, bin); err != nil {
+		err = s.Deploy(cluster.Module{Name: name, Bin: bin, Profile: engine.WAMR, Dispatcher: clusterDCfg()})
+		if err != nil {
 			return ClusterMeasurement{}, err
 		}
 		modules = append(modules, name)

@@ -113,8 +113,7 @@ func measureGateway(clients int) (gatewayRun, error) {
 	if err := srv.Shutdown(ctx); err != nil {
 		return gatewayRun{}, err
 	}
-	fn, _ := gw.Function(fc.Module)
-	st := fn.Dispatcher().Stats()
+	st := gw.Router().Stats().Aggregate
 	run.Stats = st
 	run.Identity = st.Submitted == st.Completed+st.Rejected+st.Expired+st.Failed
 	run.SimMs = metrics.Summarize(simMs)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"wasmcontainers/internal/des"
@@ -88,23 +89,32 @@ type AutoscaleConfig struct {
 type Config struct {
 	// Nodes is the worker-node count; <= 0 means 1.
 	Nodes int
-	// Profile is the engine profile every replica runs.
-	Profile engine.Profile
 	// Policy selects locality (default) or spread placement.
 	Policy Policy
-	// PoolSize is a new replica's initial warm size. 0 (the usual setting)
-	// starts cold and lets the autoscaler warm it on demand.
+	// Autoscale configures the autoscaler.
+	Autoscale AutoscaleConfig
+	// Telemetry enables node-labeled cluster metrics and the tsdb p99
+	// signal; nil disables observation.
+	Telemetry *obs.Telemetry
+}
+
+// Module is one deployable function: its binary and the shape every
+// replica of it runs with.
+type Module struct {
+	// Name is the routing key Submit takes.
+	Name string
+	// Bin is the Wasm binary.
+	Bin []byte
+	// Profile is the engine profile every replica runs.
+	Profile engine.Profile
+	// PoolSize is a new replica's initial warm size. 0 starts cold and lets
+	// the autoscaler, when armed, warm it on demand.
 	PoolSize int
 	// IdleTTL is each replica pool's idle eviction TTL; 0 keeps instances.
 	IdleTTL time.Duration
 	// Dispatcher configures every replica's dispatcher (admission, export,
 	// retries...).
 	Dispatcher serve.DispatcherConfig
-	// Autoscale configures the autoscaler.
-	Autoscale AutoscaleConfig
-	// Telemetry enables node-labeled cluster metrics and the tsdb p99
-	// signal; nil disables observation.
-	Telemetry *obs.Telemetry
 }
 
 // ScaleStats counts control-loop decisions.
@@ -135,15 +145,14 @@ type nodeState struct {
 // moduleState is one deployed module and its replicas. all keeps retired
 // (dead-node) replicas so outcome stats stay conserved across failover.
 type moduleState struct {
-	name      string
-	bin       []byte
+	Module
 	artifacts []string
-	live      []*replica
-	all       []*replica
+	live      []*Replica
+	all       []*Replica
 }
 
 // on returns this module's live replica on n, or nil.
-func (m *moduleState) on(n *nodeState) *replica {
+func (m *moduleState) on(n *nodeState) *Replica {
 	for _, r := range m.live {
 		if r.n == n {
 			return r
@@ -152,9 +161,10 @@ func (m *moduleState) on(n *nodeState) *replica {
 	return nil
 }
 
-// replica is one module instance on one node: engine, warm pool, dispatcher,
-// and the attachment charging it to the node.
-type replica struct {
+// Replica is one module instance on one node: engine, warm pool,
+// dispatcher, and the attachment charging it to the node. Its accessors
+// follow the Serving threading contract.
+type Replica struct {
 	m         *moduleState
 	n         *nodeState
 	eng       *engine.Engine
@@ -165,14 +175,33 @@ type replica struct {
 	obsRouted *obs.Counter
 }
 
+// Node names the node hosting the replica.
+func (r *Replica) Node() string { return r.n.w.Name }
+
+// Engine is the replica's wasm engine.
+func (r *Replica) Engine() *engine.Engine { return r.eng }
+
+// Pool is the replica's warm pool.
+func (r *Replica) Pool() *serve.Pool { return r.pool }
+
+// Dispatcher is the replica's admission and dispatch layer.
+func (r *Replica) Dispatcher() *serve.Dispatcher { return r.disp }
+
+// ChargedBytes is the private (non-shared) memory the replica charges its
+// node.
+func (r *Replica) ChargedBytes() int64 { return r.att.ChargedBytes() }
+
 // Serving is the cluster front door. All request-path and control-loop
 // methods run on the one goroutine driving the DES engine, like the
-// dispatcher they feed.
+// dispatcher they feed. Stats, Modules, Replicas, Load and SetDraining are
+// also safe from other goroutines: the module table and replica lists
+// change only under mu, and the dispatcher state they read is atomic.
 type Serving struct {
 	eng      *des.Engine
 	cfg      Config
 	K        *k8s.Cluster
 	nodes    []*nodeState
+	mu       sync.Mutex
 	modules  map[string]*moduleState
 	order    []string
 	db       *tsdb.DB
@@ -256,18 +285,64 @@ func (s *Serving) Run() des.Time { return s.eng.Run() }
 func (s *Serving) SetFaultInjector(in *faults.Injector) { s.injector = in }
 
 // Deploy registers a module for serving. Placement is lazy: the first routed
-// request creates the first replica.
-func (s *Serving) Deploy(name string, bin []byte) error {
-	if _, dup := s.modules[name]; dup {
-		return fmt.Errorf("cluster: module %q already deployed", name)
+// request (or Place) creates the first replica.
+func (s *Serving) Deploy(m Module) error {
+	if _, dup := s.modules[m.Name]; dup {
+		return fmt.Errorf("cluster: module %q already deployed", m.Name)
 	}
-	s.modules[name] = &moduleState{name: name, bin: bin}
-	s.order = append(s.order, name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.modules[m.Name] = &moduleState{Module: m}
+	s.order = append(s.order, m.Name)
 	return nil
 }
 
+// Place gives a deployed module its first replica now, on the
+// locality-best live node, instead of at its first request. A module that
+// already has a live replica is left as it is.
+func (s *Serving) Place(name string) error {
+	m, ok := s.modules[name]
+	if !ok {
+		return ErrUnknownModule
+	}
+	if len(m.live) > 0 {
+		return nil
+	}
+	_, err := s.placeBest(m, false)
+	return err
+}
+
 // Modules lists deployed module names in deploy order.
-func (s *Serving) Modules() []string { return append([]string(nil), s.order...) }
+func (s *Serving) Modules() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.order...)
+}
+
+// Load sums the queue length and in-flight count over the module's live
+// replicas. Safe from any goroutine.
+func (s *Serving) Load(module string) (queueLen, inFlight int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.modules[module]; ok {
+		for _, r := range m.live {
+			queueLen += r.disp.QueueLen()
+			inFlight += r.disp.InFlight()
+		}
+	}
+	return queueLen, inFlight
+}
+
+// Replicas lists the module's live replicas in placement order (nil when
+// the module is unknown or unplaced).
+func (s *Serving) Replicas(module string) []*Replica {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.modules[module]; ok {
+		return append([]*Replica(nil), m.live...)
+	}
+	return nil
+}
 
 // Submit routes one request to the named module, placing a replica if the
 // module has none reachable. Implements serve.MultiTarget.
@@ -287,7 +362,7 @@ func (s *Serving) Submit(key string, tid int64, done func(serve.RequestResult)) 
 }
 
 // route picks (or places) the replica serving this request.
-func (s *Serving) route(m *moduleState) (*replica, error) {
+func (s *Serving) route(m *moduleState) (*Replica, error) {
 	if s.cfg.Policy == PolicySpread {
 		// Blind round-robin over live nodes: every node ends up hosting its
 		// own replica of every module — one artifact copy and one cold ramp
@@ -305,7 +380,7 @@ func (s *Serving) route(m *moduleState) (*replica, error) {
 		}
 		return nil, ErrNoLiveNode
 	}
-	var best *replica
+	var best *Replica
 	bestLoad := 0
 	for _, r := range m.live {
 		load := r.disp.QueueLen() + r.disp.InFlight()
@@ -314,11 +389,7 @@ func (s *Serving) route(m *moduleState) (*replica, error) {
 		}
 	}
 	if best == nil {
-		n := s.bestNode(m, false)
-		if n == nil {
-			return nil, ErrNoLiveNode
-		}
-		return s.place(m, n, false)
+		return s.placeBest(m, false)
 	}
 	if sp := s.cfg.Autoscale.SpillQueue; sp > 0 && bestLoad >= sp {
 		if n := s.bestNode(m, true); n != nil {
@@ -343,12 +414,7 @@ func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
 		if excludeHosting && m.on(n) != nil {
 			continue
 		}
-		score := 0
-		for _, art := range m.artifacts {
-			if n.w.OS.HasSharedLib(art) {
-				score++
-			}
-		}
+		score := n.w.ResidentArtifacts(m.artifacts)
 		free := n.w.OS.Free().AvailableBytes
 		if score > bestScore || (score == bestScore && free > bestFree) {
 			best, bestScore, bestFree = n, score, free
@@ -357,28 +423,37 @@ func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
 	return best
 }
 
+// placeBest places m on the locality-best live node.
+func (s *Serving) placeBest(m *moduleState, replaced bool) (*Replica, error) {
+	n := s.bestNode(m, false)
+	if n == nil {
+		return nil, ErrNoLiveNode
+	}
+	return s.place(m, n, replaced)
+}
+
 // place creates m's replica on n: compile through the node's shared cache,
 // pool, dispatcher, router shard, and the attachment that splits the pool's
 // charge into node-shared artifacts (SyncShared, one copy per node) and the
 // private remainder.
-func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, error) {
-	eng := engine.NewWithCache(s.cfg.Profile, n.cache)
+func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*Replica, error) {
+	eng := engine.NewWithCache(m.Profile, n.cache)
 	if s.cfg.Telemetry != nil {
 		eng.SetObserver(s.cfg.Telemetry)
 	}
 	if s.injector != nil {
 		eng.SetFaultInjector(s.injector)
 	}
-	cm, err := eng.Compile(m.bin)
+	cm, err := eng.Compile(m.Bin)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: compile %s: %w", m.Name, err)
 	}
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: s.cfg.PoolSize, IdleTTL: s.cfg.IdleTTL})
+	pool, err := serve.NewPool(eng, cm, serve.Config{Size: m.PoolSize, IdleTTL: m.IdleTTL})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: pool %s: %w", m.Name, err)
 	}
 	s.attSeq++
-	att, err := n.w.AttachWarmPool(fmt.Sprintf("%s-%d", m.name, s.attSeq))
+	att, err := n.w.AttachWarmPool(fmt.Sprintf("%s-%d", m.Name, s.attSeq))
 	if err != nil {
 		return nil, err
 	}
@@ -399,20 +474,22 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 	for _, a := range pool.SharedArtifacts() {
 		m.artifacts = append(m.artifacts, a.Name)
 	}
-	d := serve.NewDispatcher(s.eng, pool, s.cfg.Dispatcher)
+	d := serve.NewDispatcher(s.eng, pool, m.Dispatcher)
 	if s.cfg.Telemetry != nil {
 		d.SetObserver(s.cfg.Telemetry)
 	}
-	if err := n.router.Register(m.name, m.name, d); err != nil {
+	if err := n.router.Register(m.Name, m.Name, d); err != nil {
 		return nil, err
 	}
-	r := &replica{m: m, n: n, eng: eng, pool: pool, disp: d, att: att}
+	r := &Replica{m: m, n: n, eng: eng, pool: pool, disp: d, att: att}
 	if s.cfg.Telemetry != nil {
 		r.obsRouted = s.cfg.Telemetry.Counter(
-			obs.Labeled2("cluster_routed_total", "module", m.name, "node", n.w.Name))
+			obs.Labeled2("cluster_routed_total", "module", m.Name, "node", n.w.Name))
 	}
+	s.mu.Lock()
 	m.live = append(m.live, r)
 	m.all = append(m.all, r)
+	s.mu.Unlock()
 	n.obsReplicas.Set(int64(len(s.replicasOn(n))))
 	s.scale.Placed++
 	if replaced {
@@ -423,8 +500,8 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 }
 
 // replicasOn lists live replicas hosted by n.
-func (s *Serving) replicasOn(n *nodeState) []*replica {
-	var out []*replica
+func (s *Serving) replicasOn(n *nodeState) []*Replica {
+	var out []*Replica
 	for _, name := range s.order {
 		if r := s.modules[name].on(n); r != nil {
 			out = append(out, r)
@@ -458,12 +535,15 @@ func (s *Serving) FailNode(idx int) error {
 		if r == nil {
 			continue
 		}
-		for i, lr := range m.live {
-			if lr == r {
-				m.live = append(m.live[:i], m.live[i+1:]...)
-				break
+		s.mu.Lock()
+		live := make([]*Replica, 0, len(m.live)-1)
+		for _, lr := range m.live {
+			if lr != r {
+				live = append(live, lr)
 			}
 		}
+		m.live = live
+		s.mu.Unlock()
 		s.drainReplica(r)
 		if len(m.live) == 0 {
 			lost = append(lost, m)
@@ -471,11 +551,7 @@ func (s *Serving) FailNode(idx int) error {
 	}
 	n.obsReplicas.Set(0)
 	for _, m := range lost {
-		tgt := s.bestNode(m, false)
-		if tgt == nil {
-			return ErrNoLiveNode
-		}
-		if _, err := s.place(m, tgt, true); err != nil {
+		if _, err := s.placeBest(m, true); err != nil {
 			return err
 		}
 	}
@@ -485,7 +561,7 @@ func (s *Serving) FailNode(idx int) error {
 // drainReplica retires one replica with connection-drain semantics: no new
 // work (the router no longer selects it), queued and in-flight requests run
 // to completion, then the pool's charge leaves the node.
-func (s *Serving) drainReplica(r *replica) {
+func (s *Serving) drainReplica(r *Replica) {
 	r.disp.SetDraining(true)
 	pool, att, disp := r.pool, r.att, r.disp
 	finish := func() {
@@ -536,6 +612,19 @@ func (s *Serving) RoutedByNode() []int64 {
 	out := make([]int64, len(s.nodes))
 	for i, n := range s.nodes {
 		out[i] = n.routed
+	}
+	return out
+}
+
+// NodeReplicas lists the modules with a live replica on node idx, in
+// deploy order.
+func (s *Serving) NodeReplicas(idx int) []string {
+	if idx < 0 || idx >= len(s.nodes) {
+		return nil
+	}
+	out := []string{}
+	for _, r := range s.replicasOn(s.nodes[idx]) {
+		out = append(out, r.m.Name)
 	}
 	return out
 }
@@ -664,6 +753,15 @@ func (s *Serving) SharedArtifactBytes() (bytes int64, copies int) {
 	return bytes, copies
 }
 
+// SetDraining flips every replica's dispatcher, live and retired, into or
+// out of draining: new work is refused with serve.ErrDraining while queued
+// and in-flight requests finish. Safe from any goroutine.
+func (s *Serving) SetDraining(v bool) {
+	for _, n := range s.nodes {
+		n.router.SetDraining(v)
+	}
+}
+
 // Quiesced reports whether every node's router holds no work.
 func (s *Serving) Quiesced() bool {
 	for _, n := range s.nodes {
@@ -675,41 +773,25 @@ func (s *Serving) Quiesced() bool {
 }
 
 // Stats aggregates one ShardStats per module over every replica it ever had
-// (live and retired), so the conservation identity spans failover.
-// Implements serve.MultiTarget.
+// (live and retired), so the conservation identity spans failover. Safe
+// from any goroutine. Implements serve.MultiTarget.
 func (s *Serving) Stats() serve.RouterStats {
 	out := serve.RouterStats{Mode: serve.RouterSharded}
+	s.mu.Lock()
 	for _, name := range s.order {
-		m := s.modules[name]
 		var st serve.DispatcherStats
 		q, inf := 0, 0
-		for _, r := range m.all {
-			d := r.disp.Stats()
-			st.Submitted += d.Submitted
-			st.Completed += d.Completed
-			st.Rejected += d.Rejected
-			st.Expired += d.Expired
-			st.Failed += d.Failed
-			st.Retries += d.Retries
-			st.TimedOut += d.TimedOut
-			st.BreakerOpens += d.BreakerOpens
-			st.BreakerShortCircuits += d.BreakerShortCircuits
+		for _, r := range s.modules[name].all {
+			st.Add(r.disp.Stats())
 			q += r.disp.QueueLen()
 			inf += r.disp.InFlight()
 		}
 		out.Shards = append(out.Shards, serve.ShardStats{
 			Key: name, Module: name, Stats: st, QueueLen: q, InFlight: inf,
 		})
-		out.Aggregate.Submitted += st.Submitted
-		out.Aggregate.Completed += st.Completed
-		out.Aggregate.Rejected += st.Rejected
-		out.Aggregate.Expired += st.Expired
-		out.Aggregate.Failed += st.Failed
-		out.Aggregate.Retries += st.Retries
-		out.Aggregate.TimedOut += st.TimedOut
-		out.Aggregate.BreakerOpens += st.BreakerOpens
-		out.Aggregate.BreakerShortCircuits += st.BreakerShortCircuits
+		out.Aggregate.Add(st)
 	}
+	s.mu.Unlock()
 	for _, n := range s.nodes {
 		rs := n.router.Stats()
 		out.Batches += rs.Batches

@@ -27,12 +27,10 @@ func testDCfg() serve.DispatcherConfig {
 }
 
 // newTestServing builds a serving cluster with n handler-variant modules
-// deployed (none placed — placement is lazy).
-func newTestServing(t *testing.T, cfg Config, nmods int) (*Serving, []string) {
+// deployed (none placed — placement is lazy). Each module runs WAMR behind
+// testDCfg and a cold pool unless shape adjusts it.
+func newTestServing(t *testing.T, cfg Config, nmods int, shape func(*Module)) (*Serving, []string) {
 	t.Helper()
-	if cfg.Dispatcher.Export == "" {
-		cfg.Dispatcher = testDCfg()
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +42,11 @@ func newTestServing(t *testing.T, cfg Config, nmods int) (*Serving, []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Deploy(name, bin); err != nil {
+		m := Module{Name: name, Bin: bin, Profile: engine.WAMR, Dispatcher: testDCfg()}
+		if shape != nil {
+			shape(&m)
+		}
+		if err := s.Deploy(m); err != nil {
 			t.Fatal(err)
 		}
 		modules = append(modules, name)
@@ -86,16 +88,15 @@ func TestLocalityBeatsSpread(t *testing.T) {
 		// replica once its queue builds, so a replica pays cold starts only
 		// during its ramp — the per-node ramp tax spread placement multiplies.
 		s, modules := newTestServing(t, Config{
-			Nodes:   4,
-			Profile: engine.WAMR,
-			Policy:  p,
+			Nodes:  4,
+			Policy: p,
 			Autoscale: AutoscaleConfig{
 				Interval:    5 * time.Millisecond,
 				QueueHigh:   4,
 				MaxPoolSize: 8,
 				ShrinkAfter: 1 << 20, // no shrink: this test isolates the ramp
 			},
-		}, 6)
+		}, 6, nil)
 		s.Arm(10 * time.Second)
 		rep := drive(t, s, modules)
 		return s, rep
@@ -136,7 +137,7 @@ func TestLocalityBeatsSpread(t *testing.T) {
 // the tail of the traffic — with the outcome identity intact across the
 // handoff.
 func TestFailoverDrainRePlaceReRoute(t *testing.T) {
-	s, modules := newTestServing(t, Config{Nodes: 2, Profile: engine.WAMR}, 1)
+	s, modules := newTestServing(t, Config{Nodes: 2}, 1, nil)
 	sim := s.Engine()
 	m := modules[0]
 
@@ -203,13 +204,8 @@ func TestFailoverDrainRePlaceReRoute(t *testing.T) {
 // doubles the hot replica's pool; once traffic stops, consecutive idle
 // ticks shrink it back down.
 func TestAutoscalerGrowsAndShrinks(t *testing.T) {
-	dcfg := testDCfg()
-	dcfg.MaxConcurrency = 1
 	s, modules := newTestServing(t, Config{
-		Nodes:      1,
-		Profile:    engine.WAMR,
-		PoolSize:   1, // pre-warmed: service time is warm-path, not a 2.6s cold ramp
-		Dispatcher: dcfg,
+		Nodes: 1,
 		Autoscale: AutoscaleConfig{
 			Interval:    5 * time.Millisecond,
 			QueueHigh:   4,
@@ -218,7 +214,10 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 			ShrinkAfter: 2,
 		},
 		Telemetry: obs.New(obs.Config{}),
-	}, 1)
+	}, 1, func(m *Module) {
+		m.PoolSize = 1 // pre-warmed: service time is warm-path, not a 2.6s cold ramp
+		m.Dispatcher.MaxConcurrency = 1
+	})
 	sim := s.Engine()
 	m := modules[0]
 	s.Arm(500 * time.Millisecond)
@@ -245,14 +244,10 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 // TestLocalitySpill: with SpillQueue set, a loaded module overflows onto a
 // second node instead of queueing forever behind one replica.
 func TestLocalitySpill(t *testing.T) {
-	dcfg := testDCfg()
-	dcfg.MaxConcurrency = 1
 	s, modules := newTestServing(t, Config{
-		Nodes:      2,
-		Profile:    engine.WAMR,
-		Dispatcher: dcfg,
-		Autoscale:  AutoscaleConfig{SpillQueue: 2},
-	}, 1)
+		Nodes:     2,
+		Autoscale: AutoscaleConfig{SpillQueue: 2},
+	}, 1, func(m *Module) { m.Dispatcher.MaxConcurrency = 1 })
 	sim := s.Engine()
 	m := modules[0]
 	for i := 0; i < 50; i++ {
@@ -287,7 +282,7 @@ func TestClusterDeterminism(t *testing.T) {
 		scale  ScaleStats
 	}
 	run := func() fingerprint {
-		s, modules := newTestServing(t, Config{Nodes: 3, Profile: engine.WAMR}, 4)
+		s, modules := newTestServing(t, Config{Nodes: 3}, 4, nil)
 		in := faults.New(faults.Config{
 			Seed:        7,
 			TrapRate:    0.01,
@@ -336,13 +331,16 @@ func TestClusterDeterminism(t *testing.T) {
 
 // TestDeployValidation covers the registration edges.
 func TestDeployValidation(t *testing.T) {
-	s, modules := newTestServing(t, Config{Nodes: 1, Profile: engine.WAMR}, 1)
+	s, modules := newTestServing(t, Config{Nodes: 1}, 1, nil)
 	bin, err := workloads.Binary(modules[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Deploy(modules[0], bin); err == nil {
+	if err := s.Deploy(Module{Name: modules[0], Bin: bin, Profile: engine.WAMR}); err == nil {
 		t.Fatal("duplicate deploy accepted")
+	}
+	if err := s.Place("nope"); !errors.Is(err, ErrUnknownModule) {
+		t.Fatalf("place unknown module: err = %v, want ErrUnknownModule", err)
 	}
 	if err := s.Submit("nope", 0, nil); !errors.Is(err, ErrUnknownModule) {
 		t.Fatalf("unknown module: err = %v, want ErrUnknownModule", err)

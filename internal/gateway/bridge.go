@@ -65,7 +65,7 @@ type BridgeConfig struct {
 // submission is one handler-goroutine request waiting to enter the DES,
 // or (when run is set) a closure to execute on the loop goroutine. submit
 // runs inside a DES event at the request's virtual arrival time and hands
-// the request — dispatcher-direct or router-batched — its done callback.
+// the request — a routed invoke or a container start — its done callback.
 type submission struct {
 	submit func(done func(serve.RequestResult))
 	result chan serve.RequestResult // buffered(1): the loop never blocks
@@ -144,24 +144,19 @@ func (b *Bridge) InFlight() int {
 	return b.pending
 }
 
-// Submit carries one request into the DES world and blocks until its
-// RequestResult comes back (or ctx ends; the request still runs to
-// completion inside the simulation, its result is discarded). The returned
+// SubmitRouted carries one request into the DES world, routes it by key
+// through rt, and blocks until its RequestResult comes back (or ctx ends;
+// the request still runs to completion inside the simulation, its result
+// is discarded). Routed through a serve.Router shard — the gateway's
+// cluster.Serving hands each request to its replica's node router — the
+// request joins the shard's pending batch, so submissions injected within
+// one DES event (the greedy channel drain below makes concurrent arrivals
+// land that way) are admitted together by one batched pass. The returned
 // error is only a bridge-level refusal (ErrBridgeBusy, ErrBridgeDraining) or
-// ctx's error — dispatcher-level outcomes, including rejections, arrive
-// inside the RequestResult.
-func (b *Bridge) Submit(ctx context.Context, d *serve.Dispatcher, tid int64) (serve.RequestResult, error) {
-	return b.submit(ctx, func(done func(serve.RequestResult)) {
-		d.SubmitTID(tid, done)
-	})
-}
-
-// SubmitRouted is Submit through a serve.Router shard: the request joins
-// the shard's pending batch, so submissions injected within one DES event —
-// the greedy channel drain below makes concurrent arrivals land that way —
-// are admitted together by one batched pass. A key that matches no shard
-// comes back as a refused RequestResult carrying serve.ErrUnknownModule.
-func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string, tid int64) (serve.RequestResult, error) {
+// ctx's error. Routing refusals (serve.ErrUnknownModule, no live node) and
+// dispatcher-level outcomes, including rejections, arrive inside the
+// RequestResult.
+func (b *Bridge) SubmitRouted(ctx context.Context, rt serve.MultiTarget, key string, tid int64) (serve.RequestResult, error) {
 	return b.submit(ctx, func(done func(serve.RequestResult)) {
 		if err := rt.Submit(key, tid, done); err != nil {
 			done(serve.RequestResult{Err: err})
@@ -169,8 +164,9 @@ func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string,
 	})
 }
 
-// submit carries one request closure into the DES world and blocks until
-// its RequestResult comes back.
+// submit carries one closure into the DES world as an event at the
+// request's virtual arrival time and blocks until the closure's done
+// callback delivers a RequestResult.
 func (b *Bridge) submit(ctx context.Context, fn func(done func(serve.RequestResult))) (serve.RequestResult, error) {
 	b.mu.Lock()
 	if b.draining {

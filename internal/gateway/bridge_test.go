@@ -13,7 +13,7 @@ import (
 // TestBridgeBusy: with the loop not draining the channel, submissions past
 // the buffer bound fail fast with ErrBridgeBusy instead of queueing.
 func TestBridgeBusy(t *testing.T) {
-	b := NewBridge(des.NewEngine(), BridgeConfig{SubmitBuffer: 1})
+	b := NewBridge(new(des.Engine), BridgeConfig{SubmitBuffer: 1})
 	// Deliberately not started: the single buffer slot fills and stays full.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -22,7 +22,7 @@ func TestBridgeBusy(t *testing.T) {
 		defer wg.Done()
 		// Occupies the one buffered slot, then blocks awaiting a result that
 		// never comes until ctx is canceled.
-		_, err := b.Submit(ctx, nil, 1)
+		_, err := b.SubmitRouted(ctx, nil, "m", 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("first submit err = %v, want context.Canceled", err)
 		}
@@ -35,7 +35,7 @@ func TestBridgeBusy(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err := b.Submit(context.Background(), nil, 2)
+	_, err := b.SubmitRouted(context.Background(), nil, "m", 2)
 	if !errors.Is(err, ErrBridgeBusy) {
 		t.Fatalf("second submit err = %v, want ErrBridgeBusy", err)
 	}
@@ -43,15 +43,15 @@ func TestBridgeBusy(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBridgeDrainRefusesNew: after Drain begins, Submit is refused with
+// TestBridgeDrainRefusesNew: after Drain begins, SubmitRouted is refused with
 // ErrBridgeDraining before touching the channel.
 func TestBridgeDrainRefusesNew(t *testing.T) {
-	b := NewBridge(des.NewEngine(), BridgeConfig{})
+	b := NewBridge(new(des.Engine), BridgeConfig{})
 	b.Start()
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatalf("drain of idle bridge: %v", err)
 	}
-	_, err := b.Submit(context.Background(), nil, 1)
+	_, err := b.SubmitRouted(context.Background(), nil, "m", 1)
 	if !errors.Is(err, ErrBridgeDraining) {
 		t.Fatalf("submit err = %v, want ErrBridgeDraining", err)
 	}
@@ -62,7 +62,7 @@ func TestBridgeDrainRefusesNew(t *testing.T) {
 
 // TestBridgeDrainIdempotent: a second Drain returns immediately.
 func TestBridgeDrainIdempotent(t *testing.T) {
-	b := NewBridge(des.NewEngine(), BridgeConfig{})
+	b := NewBridge(new(des.Engine), BridgeConfig{})
 	b.Start()
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -77,7 +77,7 @@ func TestBridgeDrainIdempotent(t *testing.T) {
 // directly in the caller once it has stopped — either way Do returns only
 // after the closure ran.
 func TestBridgeDo(t *testing.T) {
-	b := NewBridge(des.NewEngine(), BridgeConfig{})
+	b := NewBridge(new(des.Engine), BridgeConfig{})
 	b.Start()
 	ran := false
 	if err := b.Do(context.Background(), func() { ran = true }); err != nil {
@@ -98,7 +98,7 @@ func TestBridgeDo(t *testing.T) {
 
 // TestBridgeStopIdempotent: Stop twice is safe and leaves Do usable.
 func TestBridgeStopIdempotent(t *testing.T) {
-	b := NewBridge(des.NewEngine(), BridgeConfig{})
+	b := NewBridge(new(des.Engine), BridgeConfig{})
 	b.Start()
 	b.Stop()
 	b.Stop()

@@ -2,25 +2,24 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 
 	"wasmcontainers/internal/k8s"
+	"wasmcontainers/internal/serve"
 )
 
 // The container endpoints are a minimal Docker-Engine-API-shaped control
 // surface over the simulated cluster, the way sockerless serves the Docker
-// REST API without Docker: create registers a pod with the API server
-// (phase Pending — created, not started), start drives the cluster's DES
-// engine to quiescence so the pod reaches Running through the full
-// scheduler → kubelet → CRI → runtime path, json lists, stats reads the
-// pod's cgroup through the metrics-server. The cluster's control-plane
-// engine is separate from the serving bridge's: control calls simulate to
-// completion synchronously, while the data plane runs on the bridge loop in
-// (dilated) real time. The two planes share node memory accounting (warm
-// pools charge the same simulated kubelets containers run on), so every
-// cluster-touching section executes on the bridge loop via Bridge.Do, with
-// clusterMu guarding the gateway's own container table.
+// REST API without Docker: create builds a pod (phase Pending — created,
+// not started, unseen by the scheduler), start admits it to the API server
+// and waits while the bridge loop steps it through the full scheduler →
+// kubelet → CRI → runtime path at paced virtual time, json lists, stats
+// reads the pod's cgroup through the metrics-server. Containers and warm
+// pools share one DES clock and one set of simulated nodes, so every
+// section touching them runs on the bridge loop.
 
 // ContainerCreateRequest is the accepted subset of Docker's create body.
 type ContainerCreateRequest struct {
@@ -97,74 +96,91 @@ func (s *Server) handleContainerCreate(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "ctr"
 	}
-	var (
-		pod       *k8s.Pod
-		deployErr error
-	)
+	if _, ok := s.serving.K.API.RuntimeClass(req.Runtime); !ok {
+		writeError(w, ErrorMapping{http.StatusBadRequest, "create_failed", 0},
+			fmt.Errorf("gateway: unknown runtime class %q", req.Runtime))
+		return
+	}
+	var pod *k8s.Pod
 	if err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
-		var pods []*k8s.Pod
-		pods, deployErr = s.cluster.Deploy(k8s.DeployOptions{
+		pod = s.serving.K.NewPod(k8s.DeployOptions{
 			NamePrefix:       name,
 			RuntimeClassName: req.Runtime,
 			Image:            req.Image,
-			Replicas:         1,
 			Args:             req.Cmd,
 			Env:              req.Env,
 		})
-		if deployErr != nil {
-			return
-		}
-		pod = pods[0]
 		s.containers[pod.UID] = pod
 	}); err != nil {
 		writeError(w, MapError(err, retryHints{}), err)
 		return
 	}
-	if deployErr != nil {
-		writeError(w, ErrorMapping{http.StatusBadRequest, "create_failed", 0}, deployErr)
-		return
-	}
 	writeJSON(w, http.StatusCreated, ContainerCreateResponse{ID: pod.UID, Warnings: nil})
 }
 
-// handleContainerStart runs the control-plane simulation to quiescence,
-// driving the pod through scheduling and the CRI start sequence. 204 on a
-// Running pod, 500 with the kubelet's message otherwise.
+// errNoSuchContainer answers a start for an id create never issued.
+var errNoSuchContainer = errors.New("gateway: no such container")
+
+// handleContainerStart admits the pod and waits until it has started: 204
+// once Running, 500 with the kubelet's message once Failed. The start
+// rides the bridge's request path, so it enters the DES at the paced
+// virtual instant and a drain waits for it; the pod's scheduling and CRI
+// events then step at their own paced times while invokes keep flowing.
+// podChanged answers it.
 func (s *Server) handleContainerStart(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var (
-		ok    bool
-		phase k8s.PodPhase
-		msg   string
-	)
-	if err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
-		var pod *k8s.Pod
-		pod, ok = s.containers[id]
-		if !ok {
-			return
+	res, err := s.bridge.submit(r.Context(), func(done func(serve.RequestResult)) {
+		pod, ok := s.containers[id]
+		switch {
+		case !ok:
+			done(serve.RequestResult{Err: errNoSuchContainer})
+		case pod.Status.Phase == k8s.PodRunning || pod.Status.Phase == k8s.PodFailed:
+			done(startResult(pod))
+		default:
+			api := s.serving.K.API
+			if _, admitted := api.Pod(pod.Namespace, pod.Name); !admitted {
+				if err := api.CreatePod(pod); err != nil {
+					done(serve.RequestResult{Err: err})
+					return
+				}
+			}
+			s.starts[id] = append(s.starts[id], done)
 		}
-		s.cluster.Run()
-		phase = pod.Status.Phase
-		msg = pod.Status.Message
-	}); err != nil {
+	})
+	switch {
+	case err != nil:
 		writeError(w, MapError(err, retryHints{}), err)
-		return
-	}
-	if !ok {
+	case errors.Is(res.Err, errNoSuchContainer):
 		writeError(w, ErrorMapping{http.StatusNotFound, "no_such_container", 0},
 			fmt.Errorf("gateway: no such container %q", id))
+	case res.Err != nil:
+		writeError(w, ErrorMapping{http.StatusInternalServerError, "start_failed", 0}, res.Err)
+	default:
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// podChanged is the API server's pod watch, registered at New: it answers
+// the start calls waiting on a container once its pod is Running or
+// Failed. Watch handlers run inside DES events, on the bridge loop.
+func (s *Server) podChanged(p *k8s.Pod) {
+	waiting := s.starts[p.UID]
+	if len(waiting) == 0 || (p.Status.Phase != k8s.PodRunning && p.Status.Phase != k8s.PodFailed) {
 		return
 	}
-	if phase != k8s.PodRunning {
-		writeError(w, ErrorMapping{http.StatusInternalServerError, "start_failed", 0},
-			fmt.Errorf("gateway: container %s is %s: %s", id, phase, msg))
-		return
+	delete(s.starts, p.UID)
+	res := startResult(p)
+	for _, done := range waiting {
+		done(res)
 	}
-	w.WriteHeader(http.StatusNoContent)
+}
+
+// startResult reports a started pod's outcome as a bridge result.
+func startResult(p *k8s.Pod) serve.RequestResult {
+	if p.Status.Phase == k8s.PodRunning {
+		return serve.RequestResult{}
+	}
+	return serve.RequestResult{Err: fmt.Errorf("gateway: container %s is %s: %s", p.UID, p.Status.Phase, p.Status.Message)}
 }
 
 // handleContainerList lists containers; like docker ps it shows running
@@ -174,8 +190,6 @@ func (s *Server) handleContainerList(w http.ResponseWriter, r *http.Request) {
 		r.URL.Query().Get("all") != "false"
 	var out []ContainerSummary
 	if err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
 		out = make([]ContainerSummary, 0, len(s.containers))
 		for _, pod := range s.containers {
 			if !all && pod.Status.Phase != k8s.PodRunning {
@@ -198,18 +212,10 @@ func (s *Server) handleContainerList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, MapError(err, retryHints{}), err)
 		return
 	}
-	// Map iteration is randomized; present a stable listing.
-	sortContainers(out)
+	// Map iteration is randomized; present a stable listing (uids are
+	// zero-padded sequence numbers).
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, out)
-}
-
-// sortContainers orders by id (uids are zero-padded sequence numbers).
-func sortContainers(cs []ContainerSummary) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].ID < cs[j-1].ID; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }
 
 // handleContainerStats reads the pod's cgroup memory through the
@@ -221,8 +227,6 @@ func (s *Server) handleContainerStats(w http.ResponseWriter, r *http.Request) {
 		stats ContainerStats
 	)
 	if err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
 		var pod *k8s.Pod
 		pod, ok = s.containers[id]
 		if !ok {
@@ -231,7 +235,7 @@ func (s *Server) handleContainerStats(w http.ResponseWriter, r *http.Request) {
 		stats.ID = pod.UID
 		stats.Name = "/" + pod.Name
 		stats.Node = pod.Spec.NodeName
-		if pm, found := s.cluster.Metrics.PodMetrics(pod); found {
+		if pm, found := s.serving.K.Metrics.PodMetrics(pod); found {
 			stats.MemoryStats.Usage = pm.MemoryBytes
 		}
 	}); err != nil {

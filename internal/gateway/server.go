@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wasmcontainers/internal/des"
+	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/obs"
@@ -131,65 +131,63 @@ func DefaultSLOObjectives(target, latencyTarget float64, latencyThreshold time.D
 	}
 }
 
-// Function is one registered module: engine, pool, dispatcher, and the
-// node attachment charging pool memory to the simulated cluster. node and
-// att are rewritten when a node failure re-homes the function; both are
-// only touched on the bridge loop goroutine (or before Start).
+// Function is one registered module, deployed on the serving cluster as
+// one cluster.Module. The cluster owns its replicas; the function keeps the
+// HTTP-side config (retry hints, the /v1/cluster listing).
 type Function struct {
-	cfg  FunctionConfig
-	key  string // router shard key: the compiled module's content digest
-	eng  *engine.Engine
-	pool *serve.Pool
-	disp *serve.Dispatcher
-	att  *k8s.WarmPoolAttachment
-	node *k8s.WorkerNode
+	cfg FunctionConfig
+	srv *cluster.Serving
 }
 
-// Node names the cluster node currently charged for the function's pool.
-func (f *Function) Node() string { return f.node.Name }
-
-// syncMem pushes the pool's accounted memory to the current attachment,
-// splitting it into node-shared artifacts (code, baseline data image,
-// tier-1 code — charged once per node however many pools share them) and
-// the per-instance private remainder. Runs on the bridge loop via the
-// pool's memory listener.
-func (f *Function) syncMem(total int64) {
-	att := f.att
-	var shared int64
-	for _, a := range f.pool.SharedArtifacts() {
-		att.SyncShared(a.Name, a.Bytes)
-		shared += a.Bytes
+// replica is the function's first live replica, nil while no live node
+// hosts it.
+func (f *Function) replica() *cluster.Replica {
+	if rs := f.srv.Replicas(f.cfg.Module); len(rs) > 0 {
+		return rs[0]
 	}
-	if total < shared {
-		total = shared // an artifact published ahead of the pool's charge
-	}
-	att.Sync(total - shared)
+	return nil
 }
 
-// Dispatcher exposes the function's dispatcher (observer-safe accessors
-// only, per the DES threading contract).
-func (f *Function) Dispatcher() *serve.Dispatcher { return f.disp }
-
-// Pool exposes the function's warm pool.
-func (f *Function) Pool() *serve.Pool { return f.pool }
+// Pool exposes the warm pool of the function's live replica (nil when no
+// live node hosts it). A node failure re-places the function on a fresh
+// pool.
+func (f *Function) Pool() *serve.Pool {
+	if r := f.replica(); r != nil {
+		return r.Pool()
+	}
+	return nil
+}
 
 // Module names the function's workload module.
 func (f *Function) Module() string { return f.cfg.Module }
 
-// Engine exposes the function's wasm engine. Mutations (fault injection for
-// the slo smoke) must run on the bridge loop goroutine via Bridge.Do.
-func (f *Function) Engine() *engine.Engine { return f.eng }
+// Engine exposes the wasm engine of the function's live replica (nil when
+// no live node hosts it). Mutations (fault injection) must run on the
+// bridge loop goroutine via Bridge.Do.
+func (f *Function) Engine() *engine.Engine {
+	if r := f.replica(); r != nil {
+		return r.Engine()
+	}
+	return nil
+}
 
-// Server is the gateway: it owns the simulated cluster (control plane, its
-// own DES engine driven synchronously under a mutex) and the serving bridge
-// (data plane, one DES engine driven in real time by the bridge loop).
+// hints derives Retry-After advice from the function's dispatcher shape.
+func (f *Function) hints() retryHints {
+	return retryHints{
+		breakerCooldown: f.cfg.BreakerCooldown,
+		queueDeadline:   f.cfg.QueueDeadline,
+	}
+}
+
+// Server is the gateway: an HTTP shell over one cluster.Serving, which owns
+// the simulated cluster, every replica's placement and memory charge, and
+// failover. The bridge loop drives the serving cluster's DES engine, the
+// one clock of both the data plane and the container control plane.
 type Server struct {
 	cfg     Config
 	tele    *obs.Telemetry
-	sim     *des.Engine
 	bridge  *Bridge
-	cluster *k8s.Cluster
-	router  *serve.Router
+	serving *cluster.Serving
 	mux     *http.ServeMux
 	logger  *log.Logger
 
@@ -199,14 +197,14 @@ type Server struct {
 	fns   atomic.Pointer[map[string]*Function]
 	regMu sync.Mutex
 
-	// clusterMu serializes control-surface calls: each one mutates API
-	// objects and then drives the cluster's engine to quiescence.
-	clusterMu  sync.Mutex
-	containers map[string]*k8s.Pod // docker-surface id → pod
+	// containers maps a docker-surface id to its pod; starts holds the start
+	// calls waiting for a pod to finish starting. Both are touched only on
+	// the bridge loop goroutine.
+	containers map[string]*k8s.Pod
+	starts     map[string][]func(serve.RequestResult)
 
-	reqSeq   atomic.Int64
-	draining atomic.Bool
-	started  time.Time
+	reqSeq  atomic.Int64
+	started time.Time
 
 	// db and sloEng are nil when sampling / SLOs are disabled; their methods
 	// no-op on nil receivers so the hot path needs no branches.
@@ -220,10 +218,9 @@ type Server struct {
 	obsWindows    *obs.Counter
 }
 
-// New builds a gateway: simulated cluster, one engine+pool+dispatcher per
-// function (pool memory attached to cluster nodes round-robin), telemetry
-// wired through every layer with the tracer on the serving DES clock. The
-// bridge loop is not yet running — call Start.
+// New builds a gateway: the serving cluster, one deployed and placed module
+// per function, telemetry wired through every layer with the tracer on the
+// cluster's DES clock. The bridge loop is not yet running — call Start.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Functions) == 0 {
 		cfg.Functions = []FunctionConfig{DefaultFunction()}
@@ -232,17 +229,11 @@ func New(cfg Config) (*Server, error) {
 	if tele == nil {
 		tele = obs.New(obs.Config{})
 	}
-	clusterCfg := k8s.DefaultClusterConfig()
-	if cfg.ClusterNodes > 0 {
-		clusterCfg.NumNodes = cfg.ClusterNodes
-	}
-	cluster, err := k8s.NewCluster(clusterCfg)
+	serving, err := cluster.New(cluster.Config{Nodes: cfg.ClusterNodes, Telemetry: tele})
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetObserver(tele)
-
-	sim := des.NewEngine()
+	sim := serving.Engine()
 	if tr := tele.Tracer(); tr != nil {
 		tr.SetClock(func() int64 { return int64(sim.Now()) })
 		tr.SetTailSampling(cfg.TailSampling)
@@ -286,11 +277,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		tele:       tele,
-		sim:        sim,
 		bridge:     NewBridge(sim, cfg.Bridge),
-		cluster:    cluster,
-		router:     serve.NewRouter(sim, serve.RouterConfig{}),
+		serving:    serving,
 		containers: map[string]*k8s.Pod{},
+		starts:     map[string][]func(serve.RequestResult){},
 		started:    time.Now(),
 		db:         db,
 		sloEng:     sloEng,
@@ -301,7 +291,7 @@ func New(cfg Config) (*Server, error) {
 		obsBridgeBusy: tele.Counter("gateway_bridge_busy_total"),
 		obsWindows:    obsWindows,
 	}
-	s.router.SetObserver(tele)
+	serving.K.API.WatchPods(s.podChanged)
 	empty := map[string]*Function{}
 	s.fns.Store(&empty)
 	if cfg.AccessLog != nil {
@@ -341,14 +331,10 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 	}
 }
 
-// addFunction builds one function, registers its dispatcher as a router
-// shard keyed by module digest, and publishes it in the snapshot map. The
-// node is chosen by artifact locality (see pickNode), not round-robin.
-// Serialized under regMu. With live set (lazy creation on a running
-// server), the engine/pool/attachment construction runs on the bridge loop
-// goroutine via Do, because pool pre-instantiation syncs node memory
-// accounting that in-flight requests of co-located pools are mutating on
-// that goroutine.
+// addFunction deploys one function as a cluster module, places its first
+// replica, and publishes it in the snapshot map. Serialized under regMu.
+// With live set (lazy creation on a running server) the deploy runs on the
+// bridge loop goroutine via Do, like every other touch of the cluster.
 func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) (*Function, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -356,62 +342,6 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	if fn, ok := old[fc.Module]; ok {
 		return fn, nil
 	}
-	var fn *Function
-	var err error
-	build := func() { fn, err = s.newFunction(fc) }
-	if live {
-		if doErr := s.bridge.Do(ctx, build); doErr != nil {
-			return nil, doErr
-		}
-	} else {
-		build()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := s.router.Register(fn.key, fc.Module, fn.disp); err != nil {
-		return nil, err
-	}
-	next := make(map[string]*Function, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[fc.Module] = fn
-	s.fns.Store(&next)
-	return fn, nil
-}
-
-// pickNode scores live nodes for a module's shared artifacts: a node
-// already holding the module's wasm-code:/wasm-data: images beats an empty
-// one (the artifact is charged once per node, so stacking is free), free
-// memory breaks ties, and node order makes the choice deterministic.
-func (s *Server) pickNode(arts []string) (*k8s.WorkerNode, error) {
-	var best *k8s.WorkerNode
-	bestScore, bestFree := -1, int64(-1)
-	for _, n := range s.cluster.Nodes {
-		if !n.Alive() {
-			continue
-		}
-		score := 0
-		for _, a := range arts {
-			if n.OS.HasSharedLib(a) {
-				score++
-			}
-		}
-		free := n.OS.Free().AvailableBytes
-		if score > bestScore || (score == bestScore && free > bestFree) {
-			best, bestScore, bestFree = n, score, free
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("gateway: no live node to place on")
-	}
-	return best, nil
-}
-
-// newFunction wires one module end to end: compile, place by artifact
-// locality, warm pool, cluster memory attachment, dispatcher.
-func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
 	if fc.Profile == "" {
 		fc.Profile = "wamr"
 	}
@@ -426,54 +356,53 @@ func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}
-	eng := engine.New(prof)
-	eng.SetObserver(s.tele)
-	cm, err := eng.Compile(bin)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: compile %s: %w", fc.Module, err)
+	m := cluster.Module{
+		Name:     fc.Module,
+		Bin:      bin,
+		Profile:  prof,
+		PoolSize: fc.PoolSize,
+		IdleTTL:  fc.IdleTTL,
+		Dispatcher: serve.DispatcherConfig{
+			MaxConcurrency:   fc.MaxConcurrency,
+			QueueDepth:       fc.QueueDepth,
+			Policy:           serve.PolicyQueue,
+			QueueDeadline:    fc.QueueDeadline,
+			Export:           fc.Export,
+			Arg:              fc.Arg,
+			MaxRetries:       fc.MaxRetries,
+			RetryBackoff:     fc.RetryBackoff,
+			RequestTimeout:   fc.RequestTimeout,
+			BreakerThreshold: fc.BreakerThreshold,
+			BreakerCooldown:  fc.BreakerCooldown,
+		},
 	}
-	node, err := s.pickNode([]string{
-		fmt.Sprintf("wasm-code:%x", cm.Digest[:8]),
-		fmt.Sprintf("wasm-data:%x", cm.Digest[:8]),
-		fmt.Sprintf("wasm-t1:%x", cm.Digest[:8]),
-	})
+	deploy := func() {
+		if err = s.serving.Deploy(m); err != nil {
+			return
+		}
+		// With every node dead the module still registers: its invokes then
+		// answer no_live_node instead of unknown_function.
+		if err = s.serving.Place(m.Name); errors.Is(err, cluster.ErrNoLiveNode) {
+			err = nil
+		}
+	}
+	if live {
+		if doErr := s.bridge.Do(ctx, deploy); doErr != nil {
+			return nil, doErr
+		}
+	} else {
+		deploy()
+	}
 	if err != nil {
 		return nil, err
 	}
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: fc.PoolSize, IdleTTL: fc.IdleTTL})
-	if err != nil {
-		return nil, fmt.Errorf("gateway: pool %s: %w", fc.Module, err)
+	fn := &Function{cfg: fc, srv: s.serving}
+	next := make(map[string]*Function, len(old)+1)
+	for k, v := range old {
+		next[k] = v
 	}
-	att, err := node.AttachWarmPool(fmt.Sprintf("%s-%s", fc.Module, fc.Profile))
-	if err != nil {
-		return nil, err
-	}
-	att.SetObserver(s.tele)
-	disp := serve.NewDispatcher(s.sim, pool, serve.DispatcherConfig{
-		MaxConcurrency:   fc.MaxConcurrency,
-		QueueDepth:       fc.QueueDepth,
-		Policy:           serve.PolicyQueue,
-		QueueDeadline:    fc.QueueDeadline,
-		Export:           fc.Export,
-		Arg:              fc.Arg,
-		MaxRetries:       fc.MaxRetries,
-		RetryBackoff:     fc.RetryBackoff,
-		RequestTimeout:   fc.RequestTimeout,
-		BreakerThreshold: fc.BreakerThreshold,
-		BreakerCooldown:  fc.BreakerCooldown,
-	})
-	disp.SetObserver(s.tele)
-	fn := &Function{
-		cfg:  fc,
-		key:  fmt.Sprintf("%x", cm.Digest),
-		eng:  eng,
-		pool: pool,
-		disp: disp,
-		att:  att,
-		node: node,
-	}
-	pool.SetMemoryListener(fn.syncMem)
-	att.SetDrainer(func() int { return pool.DrainIdle(s.sim.Now()) })
+	next[fc.Module] = fn
+	s.fns.Store(&next)
 	return fn, nil
 }
 
@@ -505,8 +434,10 @@ func (s *Server) Functions() []*Function {
 // Bridge exposes the real-time run layer (for introspection and tests).
 func (s *Server) Bridge() *Bridge { return s.bridge }
 
-// Router exposes the sharded dispatch layer (for introspection and tests).
-func (s *Server) Router() *serve.Router { return s.router }
+// Router exposes the serving cluster every invoke routes through. Its
+// Stats aggregate each module over every replica it ever had, retired ones
+// included, and are safe from any goroutine.
+func (s *Server) Router() *cluster.Serving { return s.serving }
 
 // TimeSeries exposes the windowed metrics store (nil when sampling is off).
 func (s *Server) TimeSeries() *tsdb.DB { return s.db }
@@ -514,14 +445,13 @@ func (s *Server) TimeSeries() *tsdb.DB { return s.db }
 // SLO exposes the burn-rate engine (nil when disabled).
 func (s *Server) SLO() *slo.Engine { return s.sloEng }
 
-// Shutdown drains the gateway: the health check flips to draining, every
-// dispatcher refuses new work with ErrDraining, the bridge flushes accepted
-// submissions to their final results, and the loop stops. In-flight
+// Shutdown drains the gateway: every dispatcher refuses new work with
+// ErrDraining, the bridge (and with it the health check) turns draining and
+// flushes accepted submissions to their final results, and the loop stops. In-flight
 // requests complete; the admission identity Submitted == Completed +
 // Rejected + Expired + Failed balances once Shutdown returns nil.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.router.SetDraining(true)
+	s.serving.SetDraining(true)
 	return s.bridge.Drain(ctx)
 }
 
@@ -655,8 +585,8 @@ const maxPayloadBytes = 1 << 20
 
 // handleInvoke is the data path: payload in, routed bridge submission,
 // simulated execution, result + timing out. The module resolves through the
-// fns snapshot (one atomic load) and then routes by the compiled module's
-// digest through the sharded router; with Config.LazyTemplate set, the
+// fns snapshot (one atomic load) and then routes by name through the
+// serving cluster to one of its live replicas; with Config.LazyTemplate set, the
 // first request for an unregistered workload creates its function on the
 // fly. The X-Request-Id header (client-supplied or generated) is threaded
 // into the span tracer as the request TID via its numeric companion
@@ -696,12 +626,14 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-Id", reqID)
 	w.Header().Set("X-Trace-Tid", fmt.Sprintf("%d", tid))
-	// Shard introspection for the access log: lock-free atomic reads, so
-	// sampling them per request cannot stall a dispatch burst.
-	w.Header().Set("X-Queue-Len", fmt.Sprintf("%d", fn.disp.QueueLen()))
-	w.Header().Set("X-In-Flight", fmt.Sprintf("%d", fn.disp.InFlight()))
+	// Replica pressure for the access log: atomic counter reads under a lock
+	// the loop takes only to place or retire a replica, so sampling them per
+	// request cannot stall a dispatch burst.
+	queueLen, inFlight := s.serving.Load(module)
+	w.Header().Set("X-Queue-Len", fmt.Sprintf("%d", queueLen))
+	w.Header().Set("X-In-Flight", fmt.Sprintf("%d", inFlight))
 
-	res, err := s.bridge.SubmitRouted(r.Context(), s.router, fn.key, tid)
+	res, err := s.bridge.SubmitRouted(r.Context(), s.serving, module, tid)
 	if err != nil {
 		if err == ErrBridgeBusy {
 			s.obsBridgeBusy.Inc()
@@ -736,25 +668,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 // function on first use. Unknown workload names surface as
 // *workloads.UnknownWorkloadError so the caller can 404 them.
 func (s *Server) lazyFunction(ctx context.Context, module string) (*Function, error) {
-	if s.draining.Load() {
+	if s.bridge.Draining() {
 		return nil, ErrBridgeDraining
-	}
-	// Validate the workload before building anything: unknown names are the
-	// common case (a typo in the URL) and must stay a cheap 404.
-	if _, err := workloads.Binary(module); err != nil {
-		return nil, err
 	}
 	fc := *s.cfg.LazyTemplate
 	fc.Module = module
 	return s.addFunction(ctx, fc, true)
-}
-
-// hints derives Retry-After advice from the function's dispatcher shape.
-func (f *Function) hints() retryHints {
-	return retryHints{
-		breakerCooldown: f.cfg.BreakerCooldown,
-		queueDeadline:   f.cfg.QueueDeadline,
-	}
 }
 
 // handleHealthz reports liveness; a draining server answers 503 so load
@@ -762,7 +681,7 @@ func (f *Function) hints() retryHints {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	state := "ok"
-	if s.draining.Load() {
+	if s.bridge.Draining() {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
@@ -842,9 +761,13 @@ type NodeStatus struct {
 	MemUsedBytes    int64  `json:"mem_used_bytes"`
 	MemTotalBytes   int64  `json:"mem_total_bytes"`
 	BeyondIdleBytes int64  `json:"beyond_idle_bytes"`
+	// Replicas names the modules with a live replica on the node.
+	Replicas []string `json:"replicas"`
 }
 
-// FunctionStatus is one function of GET /v1/cluster.
+// FunctionStatus is one function of GET /v1/cluster. The placement, pool
+// and dispatcher fields describe the live replica; Stats covers every
+// replica the function ever had, retired ones included.
 type FunctionStatus struct {
 	Module          string                `json:"module"`
 	Profile         string                `json:"profile"`
@@ -883,24 +806,24 @@ type ClusterStatus struct {
 	SLO *slo.Status `json:"slo,omitempty"`
 }
 
-// handleCluster is the introspection surface: node memory from the
-// simulated OS, pool/dispatcher state from the serving layer. Pools,
-// dispatchers, and node memory accounting all live on the bridge loop's side
-// of the threading contract, so the whole read runs there via Bridge.Do.
+// handleCluster is the introspection surface: node memory and hosted
+// replicas from the simulated cluster, pool/dispatcher state from each
+// function's live replica, outcome counts from the serving cluster's
+// stats. All of it lives on the bridge loop's side of the threading
+// contract, so the whole read runs there via Bridge.Do.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	st := ClusterStatus{
 		SimTimeMs: float64(s.bridge.SimNow()) / 1e6,
 		Dilation:  s.cfg.Bridge.Dilation,
 	}
 	err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
+		k := s.serving.K
 		podsByNode := map[string]int{}
-		for _, p := range s.cluster.API.Pods() {
+		for _, p := range k.API.Pods() {
 			podsByNode[p.Spec.NodeName]++
 		}
 		st.Containers = len(s.containers)
-		for _, n := range s.cluster.Nodes {
+		for i, n := range k.Nodes {
 			free := n.OS.Free()
 			st.Nodes = append(st.Nodes, NodeStatus{
 				Name:            n.Name,
@@ -909,9 +832,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 				MemUsedBytes:    free.UsedBytes,
 				MemTotalBytes:   free.TotalBytes,
 				BeyondIdleBytes: n.OS.UsedBeyondIdle(),
+				Replicas:        s.serving.NodeReplicas(i),
 			})
 		}
-		rs := s.router.Stats()
+		rs := s.serving.Stats()
 		st.Router = RouterStatus{
 			Mode:            rs.Mode.String(),
 			Shards:          len(rs.Shards),
@@ -919,23 +843,31 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			BatchedRequests: rs.BatchedRequests,
 			MaxBatch:        rs.MaxBatch,
 		}
+		stats := make(map[string]serve.DispatcherStats, len(rs.Shards))
+		for _, sh := range rs.Shards {
+			stats[sh.Module] = sh.Stats
+		}
 		for _, fn := range *s.fns.Load() {
-			st.Functions = append(st.Functions, FunctionStatus{
-				Module:          fn.cfg.Module,
-				Profile:         fn.cfg.Profile,
-				Node:            fn.node.Name,
-				PoolSize:        fn.cfg.PoolSize,
-				PoolIdle:        fn.pool.Idle(),
-				PoolLeased:      fn.pool.Leased(),
-				PoolMemoryBytes: fn.pool.MemoryBytes(),
-				ChargedBytes:    fn.att.ChargedBytes(),
-				SharedBytes:     sharedArtifactBytes(fn.pool),
-				QueueLen:        fn.disp.QueueLen(),
-				InFlight:        fn.disp.InFlight(),
-				Breaker:         fn.disp.BreakerState().String(),
-				Draining:        fn.disp.Draining(),
-				Stats:           fn.disp.Stats(),
-			})
+			fs := FunctionStatus{
+				Module:   fn.cfg.Module,
+				Profile:  fn.cfg.Profile,
+				PoolSize: fn.cfg.PoolSize,
+				Stats:    stats[fn.cfg.Module],
+			}
+			if rep := fn.replica(); rep != nil {
+				pool, disp := rep.Pool(), rep.Dispatcher()
+				fs.Node = rep.Node()
+				fs.PoolIdle = pool.Idle()
+				fs.PoolLeased = pool.Leased()
+				fs.PoolMemoryBytes = pool.MemoryBytes()
+				fs.ChargedBytes = rep.ChargedBytes()
+				fs.SharedBytes = sharedArtifactBytes(pool)
+				fs.QueueLen = disp.QueueLen()
+				fs.InFlight = disp.InFlight()
+				fs.Breaker = disp.BreakerState().String()
+				fs.Draining = disp.Draining()
+			}
+			st.Functions = append(st.Functions, fs)
 		}
 	})
 	if err != nil {
@@ -953,71 +885,48 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // NodeFailResponse is the body of POST /v1/cluster/nodes/{node}/fail.
 type NodeFailResponse struct {
 	Node string `json:"node"`
-	// Rehomed lists the functions whose memory charge moved to a surviving
-	// node, in module order.
-	Rehomed []string `json:"rehomed"`
+	// Replaced lists the modules whose replica on the node was drained and
+	// re-placed on a survivor, in deploy order.
+	Replaced []string `json:"replaced"`
 }
 
-// handleNodeFail kills one node fail-stop: the control plane marks it dead
-// and fails its pods, and every function charged to that node is re-homed —
-// a fresh warm-pool attachment on a surviving node picked by artifact
-// locality, the dead node's charge detached. The serving state (pool,
-// dispatcher, router shard) is untouched, so in-flight and subsequent
-// invokes keep completing across the failure; only the placement moves.
-// Idempotent: failing a dead node re-homes nothing and returns 200.
+// handleNodeFail kills one node fail-stop through cluster.Serving.FailNode:
+// the node's pods fail, its replicas drain (queued and in-flight requests
+// finish, then their memory charge leaves the node), and every module left
+// without a live replica is re-placed on the locality-best survivor, so
+// invokes keep answering across the failure. Killing the last live node
+// still answers 200; invokes then answer 503 no_live_node. Idempotent:
+// failing a dead node re-places nothing and returns 200.
 func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("node")
-	resp := NodeFailResponse{Node: name}
+	resp := NodeFailResponse{Node: name, Replaced: []string{}}
+	found := false
 	var failErr error
 	err := s.bridge.Do(r.Context(), func() {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
-		if failErr = s.cluster.FailNode(name); failErr != nil {
+		for i, n := range s.serving.K.Nodes {
+			if n.Name != name {
+				continue
+			}
+			found = true
+			hosted := s.serving.NodeReplicas(i)
+			failErr = s.serving.FailNode(i)
+			for _, m := range hosted {
+				if len(s.serving.ReplicaNodes(m)) > 0 {
+					resp.Replaced = append(resp.Replaced, m)
+				}
+			}
 			return
 		}
-		s.cluster.Run()
-		// Deterministic re-home order: module-name sorted.
-		fns := *s.fns.Load()
-		modules := make([]string, 0, len(fns))
-		for m, fn := range fns {
-			if fn.node.Name == name {
-				modules = append(modules, m)
-			}
-		}
-		sort.Strings(modules)
-		for _, m := range modules {
-			fn := fns[m]
-			arts := make([]string, 0, 3)
-			for _, a := range fn.pool.SharedArtifacts() {
-				arts = append(arts, a.Name)
-			}
-			target, err := s.pickNode(arts)
-			if err != nil {
-				failErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
-				return
-			}
-			att, err := target.AttachWarmPool(fmt.Sprintf("%s-%s", fn.cfg.Module, fn.cfg.Profile))
-			if err != nil {
-				failErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
-				return
-			}
-			att.SetObserver(s.tele)
-			old := fn.att
-			fn.att, fn.node = att, target
-			att.SetDrainer(func() int { return fn.pool.DrainIdle(s.sim.Now()) })
-			fn.syncMem(fn.pool.MemoryBytes())
-			old.SetDrainer(nil)
-			old.Detach()
-			resp.Rehomed = append(resp.Rehomed, m)
-		}
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		writeError(w, MapError(err, retryHints{}), err)
-		return
+	case !found:
+		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_node", 0},
+			fmt.Errorf("gateway: unknown node %q", name))
+	case failErr != nil && !errors.Is(failErr, cluster.ErrNoLiveNode):
+		writeError(w, ErrorMapping{http.StatusInternalServerError, "replace_failed", 0}, failErr)
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if failErr != nil {
-		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_node", 0}, failErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

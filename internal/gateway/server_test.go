@@ -133,8 +133,7 @@ func TestConcurrentServingConservation(t *testing.T) {
 		t.Fatal("no request succeeded")
 	}
 
-	fn, _ := gw.Function(fc.Module)
-	st := fn.Dispatcher().Stats()
+	st := gw.Router().Stats().Aggregate
 	if st.Submitted != st.Completed+st.Rejected+st.Expired+st.Failed {
 		t.Fatalf("conservation identity broken after drain: %+v", st)
 	}
@@ -166,8 +165,7 @@ func TestDeterministicAtDilationZero(t *testing.T) {
 		if err := gw.Shutdown(ctx); err != nil {
 			t.Fatalf("shutdown: %v", err)
 		}
-		fn, _ := gw.Function(fc.Module)
-		return fn.Dispatcher().Stats(), lats
+		return gw.Router().Stats().Aggregate, lats
 	}
 	st1, lat1 := script()
 	st2, lat2 := script()
@@ -479,8 +477,8 @@ func TestDilationPacesWallClock(t *testing.T) {
 }
 
 // TestNodeFailover: POST /v1/cluster/nodes/{node}/fail kills the node
-// hosting a function, re-homes its memory charge to a survivor, and keeps
-// the function serving across the failure.
+// hosting a function, drains its replica there, re-places the function on
+// a survivor, and keeps it serving across the failure.
 func TestNodeFailover(t *testing.T) {
 	fc := DefaultFunction()
 	gw, err := New(Config{
@@ -500,75 +498,88 @@ func TestNodeFailover(t *testing.T) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	invoke(t, client, ts.URL+"/v1/functions/"+fc.Module, nil)
 
-	clusterStatus := func() ClusterStatus {
-		resp, err := client.Get(ts.URL + "/v1/cluster")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st ClusterStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	home := clusterStatus().Functions[0].Node
+	st := clusterStatus(t, client, ts.URL)
+	home := st.Functions[0].Node
 	if home == "" {
 		t.Fatal("function reports no node")
 	}
-
-	resp, err := client.Post(ts.URL+"/v1/cluster/nodes/"+home+"/fail", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fr NodeFailResponse
-	err = json.NewDecoder(resp.Body).Decode(&fr)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fail returned %d", resp.StatusCode)
-	}
-	if len(fr.Rehomed) != 1 || fr.Rehomed[0] != fc.Module {
-		t.Fatalf("rehomed = %v, want [%s]", fr.Rehomed, fc.Module)
+	if hosted := nodeStatus(t, st, home).Replicas; len(hosted) != 1 || hosted[0] != fc.Module {
+		t.Fatalf("node %s hosts %v, want [%s]", home, hosted, fc.Module)
 	}
 
-	st := clusterStatus()
-	for _, n := range st.Nodes {
-		if n.Name == home && n.Alive {
-			t.Fatalf("node %s still reported alive after fail", home)
-		}
+	fr, status := failNode(t, client, ts.URL, home)
+	if status != http.StatusOK {
+		t.Fatalf("fail returned %d", status)
+	}
+	if len(fr.Replaced) != 1 || fr.Replaced[0] != fc.Module {
+		t.Fatalf("replaced = %v, want [%s]", fr.Replaced, fc.Module)
+	}
+
+	st = clusterStatus(t, client, ts.URL)
+	if n := nodeStatus(t, st, home); n.Alive || len(n.Replicas) != 0 {
+		t.Fatalf("dead node %s reported alive=%v hosting %v", home, n.Alive, n.Replicas)
 	}
 	f := st.Functions[0]
 	if f.Node == home || f.Node == "" {
-		t.Fatalf("function still homed on %q after node death", f.Node)
+		t.Fatalf("function still placed on %q after node death", f.Node)
+	}
+	if hosted := nodeStatus(t, st, f.Node).Replicas; len(hosted) != 1 || hosted[0] != fc.Module {
+		t.Fatalf("new home %s hosts %v, want [%s]", f.Node, hosted, fc.Module)
 	}
 	if f.ChargedBytes+f.SharedBytes < f.PoolMemoryBytes {
-		t.Fatalf("re-homed charge %d+%d does not cover pool %d",
+		t.Fatalf("re-placed charge %d+%d does not cover pool %d",
 			f.ChargedBytes, f.SharedBytes, f.PoolMemoryBytes)
 	}
-	// The function keeps serving across the failure.
+	// The function keeps serving across the failure, and its stats still
+	// count the request the retired replica served.
 	r2, _ := invoke(t, client, ts.URL+"/v1/functions/"+fc.Module, nil)
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("invoke after failover: %d", r2.StatusCode)
 	}
+	if c := clusterStatus(t, client, ts.URL).Functions[0].Stats.Completed; c != 2 {
+		t.Fatalf("completed = %d across failover, want 2", c)
+	}
 	// Idempotent on a dead node; 404 on an unknown one.
-	r3, err := client.Post(ts.URL+"/v1/cluster/nodes/"+home+"/fail", "", nil)
+	if fr, status := failNode(t, client, ts.URL, home); status != http.StatusOK || len(fr.Replaced) != 0 {
+		t.Fatalf("second fail returned %d replacing %v, want 200 and nothing", status, fr.Replaced)
+	}
+	if _, status := failNode(t, client, ts.URL, "worker-99"); status != http.StatusNotFound {
+		t.Fatalf("unknown node fail returned %d, want 404", status)
+	}
+}
+
+func clusterStatus(t *testing.T, client *http.Client, base string) ClusterStatus {
+	t.Helper()
+	var st ClusterStatus
+	getJSON(t, client, base+"/v1/cluster", &st)
+	return st
+}
+
+func nodeStatus(t *testing.T, st ClusterStatus, name string) NodeStatus {
+	t.Helper()
+	for _, n := range st.Nodes {
+		if n.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("node %s missing from /v1/cluster", name)
+	return NodeStatus{}
+}
+
+// failNode kills one node over HTTP and returns the decoded body (zero on
+// an error envelope) and the status.
+func failNode(t *testing.T, client *http.Client, base, node string) (NodeFailResponse, int) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/cluster/nodes/"+node+"/fail", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("second fail returned %d, want 200", r3.StatusCode)
+	defer resp.Body.Close()
+	var fr NodeFailResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r4, err := client.Post(ts.URL+"/v1/cluster/nodes/worker-99/fail", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4.Body.Close()
-	if r4.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown node fail returned %d, want 404", r4.StatusCode)
-	}
+	return fr, resp.StatusCode
 }

@@ -91,12 +91,7 @@ func (s *Scheduler) pick(p *Pod) *WorkerNode {
 		var best *WorkerNode
 		bestScore, bestCap := -1, -1
 		for _, n := range viable {
-			score := 0
-			for _, h := range p.Spec.ArtifactHints {
-				if n.OS.HasSharedLib(h) {
-					score++
-				}
-			}
+			score := n.ResidentArtifacts(p.Spec.ArtifactHints)
 			capacity := n.Kubelet.MaxPods() - n.Kubelet.PodCount()
 			if score > bestScore || (score == bestScore && capacity > bestCap) {
 				best, bestScore, bestCap = n, score, capacity
@@ -207,34 +202,41 @@ func (c *Cluster) Deploy(opts DeployOptions) ([]*Pod, error) {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
 	}
-	if opts.NamePrefix == "" {
-		opts.NamePrefix = "bench"
-	}
 	pods := make([]*Pod, 0, opts.Replicas)
 	for i := 0; i < opts.Replicas; i++ {
-		c.podSeq++
-		p := &Pod{
-			Name:      fmt.Sprintf("%s-%d", opts.NamePrefix, c.podSeq),
-			Namespace: "default",
-			UID:       fmt.Sprintf("uid-%06d", c.podSeq),
-			Spec: PodSpec{
-				RuntimeClassName: opts.RuntimeClassName,
-				ArtifactHints:    opts.ArtifactHints,
-				Containers: []ContainerSpec{{
-					Name:  "app",
-					Image: opts.Image,
-					Args:  opts.Args,
-					Env:   opts.Env,
-				}},
-			},
-			Status: PodStatus{CreatedAt: c.Engine.Now()},
-		}
+		p := c.NewPod(opts)
 		if err := c.API.CreatePod(p); err != nil {
 			return nil, err
 		}
 		pods = append(pods, p)
 	}
 	return pods, nil
+}
+
+// NewPod builds one single-container pod from opts without admitting it:
+// it stays Pending, unseen by the scheduler, until API.CreatePod. Replicas
+// is ignored.
+func (c *Cluster) NewPod(opts DeployOptions) *Pod {
+	if opts.NamePrefix == "" {
+		opts.NamePrefix = "bench"
+	}
+	c.podSeq++
+	return &Pod{
+		Name:      fmt.Sprintf("%s-%d", opts.NamePrefix, c.podSeq),
+		Namespace: "default",
+		UID:       fmt.Sprintf("uid-%06d", c.podSeq),
+		Spec: PodSpec{
+			RuntimeClassName: opts.RuntimeClassName,
+			ArtifactHints:    opts.ArtifactHints,
+			Containers: []ContainerSpec{{
+				Name:  "app",
+				Image: opts.Image,
+				Args:  opts.Args,
+				Env:   opts.Env,
+			}},
+		},
+		Status: PodStatus{Phase: PodPending, CreatedAt: c.Engine.Now()},
+	}
 }
 
 // SetObserver wires telemetry into every node's kubelet (pod gauges,

@@ -52,6 +52,19 @@ type WorkerNode struct {
 // alive.
 func (n *WorkerNode) Alive() bool { return !n.dead.Load() }
 
+// ResidentArtifacts counts how many of the named shared artifacts the node
+// already holds: the locality score both the scheduler and the serving
+// cluster place by.
+func (n *WorkerNode) ResidentArtifacts(names []string) int {
+	score := 0
+	for _, name := range names {
+		if n.OS.HasSharedLib(name) {
+			score++
+		}
+	}
+	return score
+}
+
 // Fail marks the node down: its kubelet refuses and abandons pod work, and
 // the scheduler stops considering it. There is no recovery path — the
 // simulated failure model is fail-stop.

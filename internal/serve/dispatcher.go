@@ -161,6 +161,20 @@ type DispatcherStats struct {
 	BreakerShortCircuits int64
 }
 
+// Add accumulates o into s field by field: the one sum behind every
+// aggregate over shards, replicas and nodes.
+func (s *DispatcherStats) Add(o DispatcherStats) {
+	s.Submitted += o.Submitted
+	s.Completed += o.Completed
+	s.Rejected += o.Rejected
+	s.Expired += o.Expired
+	s.Failed += o.Failed
+	s.Retries += o.Retries
+	s.TimedOut += o.TimedOut
+	s.BreakerOpens += o.BreakerOpens
+	s.BreakerShortCircuits += o.BreakerShortCircuits
+}
+
 // queuedRequest is one request parked behind the concurrency limit.
 type queuedRequest struct {
 	enqueued des.Time

@@ -329,15 +329,7 @@ func (r *Router) Stats() RouterStats {
 			InFlight: sh.d.InFlight(),
 			Breaker:  sh.d.BreakerState(),
 		})
-		out.Aggregate.Submitted += st.Submitted
-		out.Aggregate.Completed += st.Completed
-		out.Aggregate.Rejected += st.Rejected
-		out.Aggregate.Expired += st.Expired
-		out.Aggregate.Failed += st.Failed
-		out.Aggregate.Retries += st.Retries
-		out.Aggregate.TimedOut += st.TimedOut
-		out.Aggregate.BreakerOpens += st.BreakerOpens
-		out.Aggregate.BreakerShortCircuits += st.BreakerShortCircuits
+		out.Aggregate.Add(st)
 	}
 	sort.Slice(out.Shards, func(i, j int) bool {
 		if out.Shards[i].Module != out.Shards[j].Module {
